@@ -129,16 +129,19 @@ impl CacheTable {
     }
 
     /// The line-aligned tag of `addr`.
+    #[inline]
     pub fn tag_of(&self, addr: u32) -> u32 {
         addr & !(self.line_bytes as u32 - 1)
     }
 
     /// Immutable view of line `idx`.
+    #[inline]
     pub fn line(&self, idx: usize) -> &LineState {
         &self.lines[idx]
     }
 
     /// Mutable view of line `idx`.
+    #[inline]
     pub fn line_mut(&mut self, idx: usize) -> &mut LineState {
         &mut self.lines[idx]
     }
@@ -162,14 +165,8 @@ impl CacheTable {
     /// refreshes the hint array.
     fn probe(&mut self, addr: u32) -> Option<(usize, u32)> {
         let tag = self.tag_of(addr);
-        for &(t, i) in &self.mru {
-            if t == tag {
-                let l = &self.lines[i as usize];
-                if l.valid && l.tag == tag {
-                    return Some((i as usize, tag));
-                }
-                break;
-            }
+        if let Some(i) = self.hinted(addr) {
+            return Some((i, tag));
         }
         let pos = self.lines.iter().position(|l| l.valid && l.tag == tag)?;
         self.mru.rotate_right(1);
@@ -177,9 +174,28 @@ impl CacheTable {
         Some((pos, tag))
     }
 
+    /// The hinted half of the lookup: the line an MRU hint resolves
+    /// `addr` to, validated against the line state. `None` means no
+    /// hint holds the tag or the hint is stale — the associative scan
+    /// of [`CacheTable::lookup`]/[`CacheTable::access`] decides then.
+    /// Read-only: a hinted hit leaves the hint array as it is, exactly
+    /// like the hinted path of those two.
+    #[inline]
+    pub fn hinted(&self, addr: u32) -> Option<usize> {
+        let tag = self.tag_of(addr);
+        for &(t, i) in &self.mru {
+            if t == tag {
+                let l = &self.lines[i as usize];
+                return (l.valid && l.tag == tag).then_some(i as usize);
+            }
+        }
+        None
+    }
+
     /// Marks line `idx` as just used (approximate LRU: the counter is
     /// set to the maximum; every [`aging period`](Self::new) accesses
     /// every counter decays by one — applied lazily via the epoch).
+    #[inline]
     pub fn touch(&mut self, idx: usize) {
         self.lines[idx].lru = u8::MAX;
         self.lines[idx].lru_epoch = self.epoch;

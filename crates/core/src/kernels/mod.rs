@@ -76,6 +76,15 @@ pub enum KernelError {
     },
     /// Operand widths disagree with the instruction width suffix.
     WidthMismatch,
+    /// An operand or destination matrix does not lie inside external
+    /// memory (checked when the launch is resolved, before any line or
+    /// memory is touched).
+    OperandOutOfRange {
+        /// Base address of the offending matrix.
+        addr: u32,
+        /// Bytes the matrix spans from `addr`.
+        bytes: u64,
+    },
     /// An `xmb` launch-batch failed to decode (descriptor pipeline).
     Launch(LaunchDecodeError),
     /// The VPU rejected a vector instruction (runtime bug).
@@ -99,6 +108,10 @@ impl fmt::Display for KernelError {
             KernelError::WidthMismatch => {
                 f.write_str("operand width differs from instruction suffix")
             }
+            KernelError::OperandOutOfRange { addr, bytes } => write!(
+                f,
+                "matrix of {bytes} bytes at {addr:#010x} lies outside external memory"
+            ),
             KernelError::Launch(e) => write!(f, "launch-batch decode failed: {e}"),
             KernelError::Vpu(e) => write!(f, "vector unit fault: {e}"),
         }

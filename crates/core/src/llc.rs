@@ -465,7 +465,30 @@ impl ArcaneLlc {
             ms3: self.map.resolve(ms3),
         };
         let sources = kernel.validate(&args)?;
+        for m in sources.iter().chain([&args.md]) {
+            self.check_in_ext(m)?;
+        }
         Ok((args, sources, kernel.name()))
+    }
+
+    /// Range check of one resolved operand: every row the kernel will
+    /// load or store must lie in external memory. Computed in 64 bits,
+    /// so a guest binding near the top of the address space cannot
+    /// wrap around.
+    fn check_in_ext(&self, m: &MatView) -> Result<(), KernelError> {
+        let bytes = match m.rows {
+            0 => 0,
+            rows => (rows as u64 - 1) * u64::from(m.pitch_bytes()) + u64::from(m.row_bytes()),
+        };
+        let base = u64::from(self.ext.base());
+        let end = base + self.ext.len() as u64;
+        if u64::from(m.addr) < base || u64::from(m.addr) + bytes > end {
+            return Err(KernelError::OperandOutOfRange {
+                addr: m.addr,
+                bytes,
+            });
+        }
+        Ok(())
     }
 
     /// Back half of a launch, after its preamble has been booked on the

@@ -70,10 +70,59 @@ impl StandardLlc {
     /// One host access through the cache. Returns data and cycles
     /// (1-cycle hit; miss adds writeback + refill bursts).
     ///
+    /// The hit path is inline: an access that stays inside one line
+    /// whose tag an MRU hint of the [`CacheTable`] resolves is served
+    /// here, with the same `touch` and hit count as the full path.
+    /// Everything else — misses, line-crossing accesses, hint misses and
+    /// out-of-range addresses — goes to the out-of-line path. A valid
+    /// line was refilled from external memory as a whole, so a hinted
+    /// hit is always in range.
+    ///
     /// # Errors
     ///
     /// Returns [`BusError::OutOfRange`] outside the cached region.
+    #[inline]
     pub fn host_access(
+        &mut self,
+        addr: u32,
+        write: bool,
+        value: u32,
+        size: AccessSize,
+        now: u64,
+    ) -> Result<Access, BusError> {
+        let n = size.bytes() as usize;
+        let off_in_line = (addr as usize) & (self.line_bytes - 1);
+        if off_in_line + n <= self.line_bytes {
+            if let Some(line) = self.table.hinted(addr) {
+                // One 4-byte window serves every access width: reads
+                // mask it, writes merge into it. Only the last three
+                // bytes of the data array lack a full window; they take
+                // the out-of-line path.
+                let off = line * self.line_bytes + off_in_line;
+                if let Some(w) = self.data.get_mut(off..off + 4) {
+                    let w: &mut [u8; 4] = w.try_into().expect("4-byte window");
+                    let mask = u32::MAX >> (32 - 8 * n);
+                    let old = u32::from_le_bytes(*w);
+                    let data = if write {
+                        *w = ((old & !mask) | (value & mask)).to_le_bytes();
+                        self.table.line_mut(line).dirty = true;
+                        0
+                    } else {
+                        old & mask
+                    };
+                    self.table.touch(line);
+                    self.stats.hits.incr();
+                    return Ok(Access::new(data, 1));
+                }
+            }
+        }
+        self.host_access_slow(addr, write, value, size, now)
+    }
+
+    /// The full host-access path: range check, line-crossing split,
+    /// associative probe, and refill on a miss.
+    #[inline(never)]
+    fn host_access_slow(
         &mut self,
         addr: u32,
         write: bool,

@@ -22,8 +22,8 @@
 //!   instructions, used to build every evaluation workload as real
 //!   machine code.
 //! * [`exec`] — the predecode stage of the block-stepping execution
-//!   engine: cached [`exec::DecodedBlock`]s of straight-line code with
-//!   per-instruction cost hints and write invalidation.
+//!   engine: cached [`exec::DecodedBlock`]s of straight-line code
+//!   lowered to one-level [`exec::MicroOp`]s, with write invalidation.
 //!
 //! # Examples
 //!

@@ -3,10 +3,10 @@
 use crate::simd::pv_exec;
 use crate::timing::Timing;
 use crate::xif::{Coprocessor, XifResponse};
-use arcane_isa::exec::{BlockCache, CostClass, DecodedBlock};
+use arcane_isa::exec::{BlockCache, DecodedBlock, MicroOp};
 use arcane_isa::reg::Gpr;
 use arcane_isa::rv32::{decode, AluImmOp, AluOp, BranchOp, Instr, LoadOp, StoreOp};
-use arcane_isa::xcvpulp::PulpInstr;
+use arcane_isa::xcvpulp::{PulpInstr, PvOp, SimdWidth};
 use arcane_isa::DecodeError;
 use arcane_mem::{Access, AccessSize, Bus, BusError, Memory, Sram};
 use arcane_sim::EngineMode;
@@ -186,15 +186,19 @@ impl Cpu {
         &self.blocks
     }
 
+    /// One data read as the core issues it at `pc`, time `now`: the
+    /// bus access plus the misaligned-access penalty.
+    #[inline(always)]
     fn mem_read<B: Bus>(
-        &mut self,
+        &self,
         bus: &mut B,
         addr: u32,
         size: AccessSize,
+        pc: u32,
+        now: u64,
     ) -> Result<Access, CpuError> {
-        let pc = self.pc;
         let mut acc = bus
-            .read(addr, size, self.cycles)
+            .read(addr, size, now)
             .map_err(|source| CpuError::Bus { pc, source })?;
         if !addr.is_multiple_of(size.bytes()) {
             acc.cycles += self.timing.misaligned_extra;
@@ -202,16 +206,20 @@ impl Cpu {
         Ok(acc)
     }
 
+    /// One data write as the core issues it at `pc`, time `now`;
+    /// returns its cycles.
+    #[inline(always)]
     fn mem_write<B: Bus>(
         &mut self,
         bus: &mut B,
         addr: u32,
         value: u32,
         size: AccessSize,
+        pc: u32,
+        now: u64,
     ) -> Result<u64, CpuError> {
-        let pc = self.pc;
         let acc = bus
-            .write(addr, value, size, self.cycles)
+            .write(addr, value, size, now)
             .map_err(|source| CpuError::Bus { pc, source })?;
         // Self-modifying-code guard: drop any predecoded block the
         // store overlaps (two compares when the store is outside code).
@@ -251,10 +259,10 @@ impl Cpu {
 
     /// Executes one already-decoded instruction at the current PC.
     ///
-    /// This is the single execution path shared by [`Cpu::step`] and
-    /// [`Cpu::run_block`], which is what guarantees the two engines
-    /// produce bit- and cycle-identical results.
-    #[inline(always)]
+    /// This is the reference interpreter's execution path
+    /// ([`Cpu::step`]); [`Cpu::run_block`] delegates the instructions it
+    /// has no micro-op for (jumps, `ecall`/`ebreak`, offloads,
+    /// hardware-loop setup) to it.
     fn exec_instr<B: Bus, X: Coprocessor>(
         &mut self,
         bus: &mut B,
@@ -286,17 +294,7 @@ impl Cpu {
                 rs2,
                 offset,
             } => {
-                let a = self.reg(rs1);
-                let b = self.reg(rs2);
-                let taken = match op {
-                    BranchOp::Eq => a == b,
-                    BranchOp::Ne => a != b,
-                    BranchOp::Lt => (a as i32) < (b as i32),
-                    BranchOp::Ge => (a as i32) >= (b as i32),
-                    BranchOp::Ltu => a < b,
-                    BranchOp::Geu => a >= b,
-                };
-                if taken {
+                if branch_taken(op, self.reg(rs1), self.reg(rs2)) {
                     next_pc = pc.wrapping_add(offset as u32);
                     cost = self.timing.branch_taken;
                 } else {
@@ -310,7 +308,7 @@ impl Cpu {
                 offset,
             } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u32);
-                let acc = self.mem_read(bus, addr, load_size(op))?;
+                let acc = self.mem_read(bus, addr, load_size(op), pc, self.cycles)?;
                 self.set_reg(rd, extend_load(op, acc.data));
                 cost = acc.cycles;
             }
@@ -321,29 +319,13 @@ impl Cpu {
                 offset,
             } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u32);
-                cost = self.mem_write(bus, addr, self.reg(rs2), store_size(op))?;
+                let value = self.reg(rs2);
+                cost = self.mem_write(bus, addr, value, store_size(op), pc, self.cycles)?;
             }
-            Instr::OpImm { op, rd, rs1, imm } => {
-                let a = self.reg(rs1);
-                let v = match op {
-                    AluImmOp::Addi => a.wrapping_add(imm as u32),
-                    AluImmOp::Slti => ((a as i32) < imm) as u32,
-                    AluImmOp::Sltiu => (a < imm as u32) as u32,
-                    AluImmOp::Xori => a ^ imm as u32,
-                    AluImmOp::Ori => a | imm as u32,
-                    AluImmOp::Andi => a & imm as u32,
-                    AluImmOp::Slli => a.wrapping_shl(imm as u32),
-                    AluImmOp::Srli => a.wrapping_shr(imm as u32),
-                    AluImmOp::Srai => ((a as i32).wrapping_shr(imm as u32)) as u32,
-                };
-                self.set_reg(rd, v);
-            }
+            Instr::OpImm { op, rd, rs1, imm } => self.set_reg(rd, alu_imm(op, self.reg(rs1), imm)),
             Instr::Op { op, rd, rs1, rs2 } => {
-                let a = self.reg(rs1);
-                let b = self.reg(rs2);
-                let (v, c) = alu_rr(op, a, b, &self.timing);
-                self.set_reg(rd, v);
-                cost = c;
+                self.set_reg(rd, alu_rr(op, self.reg(rs1), self.reg(rs2)));
+                cost = alu_rr_cost(op, &self.timing);
             }
             Instr::Fence => {}
             Instr::Ecall => stop = Some(StopReason::Ecall),
@@ -380,29 +362,34 @@ impl Cpu {
         self.cycles += cost;
         self.instret += 1;
 
-        // Hardware loops: if the retired instruction is the last of an
-        // active loop body, wrap to the loop start with zero overhead.
-        // Loop 0 is the innermost per the XPULP convention. Guarded by
-        // one flag so plain RV32IM code pays a single predictable
-        // branch here.
+        // Guarded by one flag so plain RV32IM code pays a single
+        // predictable branch here.
         if self.loops_active && next_pc == pc.wrapping_add(4) {
-            for l in 0..2 {
-                let lp = &mut self.loops[l];
-                if lp.active && pc == lp.last {
-                    if lp.remaining > 1 {
-                        lp.remaining -= 1;
-                        next_pc = lp.start;
-                    } else {
-                        lp.active = false;
-                        self.loops_active = self.loops[0].active || self.loops[1].active;
-                    }
-                    break;
-                }
-            }
+            next_pc = self.end_loop_body(pc);
         }
 
         self.pc = next_pc;
         Ok(stop)
+    }
+
+    /// Hardware loops: the PC after the instruction at `pc` falls
+    /// through — the loop start, with zero overhead, when `pc` is the
+    /// last instruction of an active loop body, else `pc + 4`. Loop 0 is
+    /// the innermost per the XPULP convention.
+    fn end_loop_body(&mut self, pc: u32) -> u32 {
+        for l in 0..2 {
+            let lp = &mut self.loops[l];
+            if lp.active && pc == lp.last {
+                if lp.remaining > 1 {
+                    lp.remaining -= 1;
+                    return lp.start;
+                }
+                lp.active = false;
+                self.loops_active = self.loops[0].active || self.loops[1].active;
+                break;
+            }
+        }
+        pc.wrapping_add(4)
     }
 
     fn exec_pulp<B: Bus>(&mut self, bus: &mut B, p: PulpInstr) -> Result<u64, CpuError> {
@@ -414,7 +401,7 @@ impl Cpu {
                 offset,
             } => {
                 let addr = self.reg(rs1);
-                let acc = self.mem_read(bus, addr, load_size(op))?;
+                let acc = self.mem_read(bus, addr, load_size(op), self.pc, self.cycles)?;
                 self.set_reg(rd, extend_load(op, acc.data));
                 // post-increment must survive rd == rs1 (rd wins on real HW
                 // only for rd != rs1; we forbid that case in kernels)
@@ -428,7 +415,9 @@ impl Cpu {
                 offset,
             } => {
                 let addr = self.reg(rs1);
-                let cost = self.mem_write(bus, addr, self.reg(rs2), store_size(op))?;
+                let value = self.reg(rs2);
+                let cost =
+                    self.mem_write(bus, addr, value, store_size(op), self.pc, self.cycles)?;
                 self.set_reg(rs1, addr.wrapping_add(offset as u32));
                 Ok(cost)
             }
@@ -444,25 +433,20 @@ impl Cpu {
                 Ok(self.timing.simd)
             }
             PulpInstr::Mac { rd, rs1, rs2 } => {
-                let v = self
-                    .reg(rd)
-                    .wrapping_add(self.reg(rs1).wrapping_mul(self.reg(rs2)));
+                let v = cv_mac(self.reg(rd), self.reg(rs1), self.reg(rs2));
                 self.set_reg(rd, v);
                 Ok(self.timing.simd)
             }
             PulpInstr::MaxS { rd, rs1, rs2 } => {
-                let v = (self.reg(rs1) as i32).max(self.reg(rs2) as i32) as u32;
-                self.set_reg(rd, v);
+                self.set_reg(rd, cv_max(self.reg(rs1), self.reg(rs2)));
                 Ok(self.timing.simd)
             }
             PulpInstr::MinS { rd, rs1, rs2 } => {
-                let v = (self.reg(rs1) as i32).min(self.reg(rs2) as i32) as u32;
-                self.set_reg(rd, v);
+                self.set_reg(rd, cv_min(self.reg(rs1), self.reg(rs2)));
                 Ok(self.timing.simd)
             }
             PulpInstr::Abs { rd, rs1 } => {
-                let v = (self.reg(rs1) as i32).wrapping_abs() as u32;
-                self.set_reg(rd, v);
+                self.set_reg(rd, cv_abs(self.reg(rs1)));
                 Ok(self.timing.simd)
             }
             PulpInstr::LoopSetupI {
@@ -566,8 +550,8 @@ impl Cpu {
     }
 
     /// The predecoded block-stepping engine: fetch/decode happen once
-    /// per basic block (cached by PC), execution loops over the decoded
-    /// instructions. Hardware-loop bodies and branch-closed inner loops
+    /// per basic block (cached by PC), execution loops over the block's
+    /// micro-ops ([`Cpu::run_block`]). Hardware-loop bodies and branch-closed inner loops
     /// re-enter their memoised block without touching the bus.
     ///
     /// # Errors
@@ -661,18 +645,23 @@ impl Cpu {
         Ok(self.blocks.insert(block))
     }
 
-    /// Executes predecoded instructions from `block` starting at the
-    /// current PC until the block ends, control leaves the straight
-    /// line (taken branch, jump, hardware-loop wrap), a store
-    /// invalidates cached code, the program stops, or `max_instrs`
-    /// instructions have retired.
+    /// Executes the micro-ops of `block` starting at the current PC
+    /// until the block ends, control leaves the straight line (taken
+    /// branch, jump, hardware-loop wrap), a store invalidates cached
+    /// code, the program stops, or `max_instrs` instructions have
+    /// retired.
+    ///
+    /// The PC comes from the block index, and cycles and instret live
+    /// in locals; all three are written back to the core at every exit
+    /// (including a fault, which leaves the faulting PC and the counts
+    /// before it, exactly like [`Cpu::step`]) and before every
+    /// delegated instruction.
     ///
     /// Returns the stop reason when the program terminated.
     ///
     /// # Errors
     ///
     /// Propagates the first [`CpuError`] raised by an instruction.
-    ///
     pub fn run_block<B: Bus, X: Coprocessor>(
         &mut self,
         bus: &mut B,
@@ -681,54 +670,289 @@ impl Cpu {
         max_instrs: u64,
     ) -> Result<Option<StopReason>, CpuError> {
         debug_assert!(
-            block.covers(self.pc),
+            block.index_of(self.pc).is_some(),
             "pc {:#010x} outside block at {:#010x}",
             self.pc,
             block.start()
         );
-        let mut idx = (self.pc.wrapping_sub(block.start()) / 4) as usize;
+        let start = block.start();
+        let ops = block.ops();
+        let t = self.timing;
         let gen = self.blocks.generation();
-        let instrs = block.instrs();
+        let mut idx = (self.pc.wrapping_sub(start) / 4) as usize;
+        let mut cycles = self.cycles;
+        let instret0 = self.instret;
         let mut executed = 0u64;
-        while idx < instrs.len() && executed < max_instrs {
-            let pc = self.pc;
-            let (instr, cost_hint) = instrs[idx];
-            let stop = self.exec_instr(bus, xif, instr)?;
-            executed += 1;
-            if stop.is_some() {
-                return Ok(stop);
-            }
-            // Only stores can invalidate predecoded code, so the
-            // coherence re-check is gated on the precomputed cost hint.
-            // It must run before the control-transfer continuation
-            // below: a store can itself end a hardware-loop body, and
-            // wrapping back into a block it just invalidated would
-            // replay stale instructions.
-            if matches!(cost_hint, CostClass::Store) && self.blocks.generation() != gen {
-                // A store invalidated cached code — possibly the rest
-                // of this very block. Fall back to a fresh predecode at
-                // the current PC, exactly like the interpreter
-                // refetching.
-                return Ok(None);
-            }
-            if self.pc != pc.wrapping_add(4) {
-                // Control transfer (taken branch or hardware-loop
-                // wrap). A target inside this very block — typically a
-                // hardware-loop body wrapping to its start — continues
-                // predecoded without leaving; anything else returns so
-                // the caller re-resolves the block at the new PC.
-                if block.covers(self.pc) {
-                    idx = (self.pc.wrapping_sub(block.start()) / 4) as usize;
-                    continue;
+
+        // The PC of the micro-op at `idx`; derived only where needed.
+        macro_rules! pc_of {
+            ($idx:expr) => {
+                start.wrapping_add(($idx as u32) << 2)
+            };
+        }
+        // Writes the register-local state back to the core.
+        macro_rules! sync {
+            ($pc:expr) => {
+                self.pc = $pc;
+                self.cycles = cycles;
+                self.instret = instret0 + executed;
+            };
+        }
+        // Continues at `$next` when it is one of this block's
+        // instructions — a loop body wrapping to its start, a branch
+        // closing a loop — and otherwise returns, so the caller
+        // re-resolves the block at the new PC.
+        macro_rules! goto {
+            ($next:expr) => {{
+                let next = $next;
+                match block.index_of(next) {
+                    Some(i) => {
+                        idx = i;
+                        continue;
+                    }
+                    None => {
+                        sync!(next);
+                        return Ok(None);
+                    }
                 }
-                return Ok(None);
+            }};
+        }
+        // The PC after the instruction at `pc` falls through: a
+        // fall-through off the last instruction of an active
+        // hardware-loop body wraps to the loop start.
+        macro_rules! fall_from {
+            ($pc:expr) => {{
+                let pc = $pc;
+                if self.loops_active {
+                    self.end_loop_body(pc)
+                } else {
+                    pc.wrapping_add(4)
+                }
+            }};
+        }
+
+        macro_rules! x {
+            ($r:expr) => {
+                self.regs[($r & 31) as usize]
+            };
+        }
+        macro_rules! set {
+            ($r:expr, $v:expr) => {{
+                let v = $v;
+                if $r != 0 {
+                    self.regs[($r & 31) as usize] = v;
+                }
+            }};
+        }
+        // A faulting access retires nothing: the core stops at the
+        // faulting PC.
+        macro_rules! fault {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => {
+                        sync!(pc_of!(idx));
+                        return Err(e);
+                    }
+                }
+            };
+        }
+        macro_rules! imm {
+            ($o:expr, $op:expr) => {{
+                set!($o.rd, alu_imm($op, x!($o.rs1), $o.imm));
+                t.alu
+            }};
+        }
+        macro_rules! rr {
+            ($o:expr, $op:expr) => {{
+                set!($o.rd, alu_rr($op, x!($o.rs1), x!($o.rs2)));
+                alu_rr_cost($op, &t)
+            }};
+        }
+        macro_rules! load {
+            ($o:expr, $op:expr, $post:expr) => {{
+                let base = x!($o.rs1);
+                let addr = if $post {
+                    base
+                } else {
+                    base.wrapping_add($o.imm as u32)
+                };
+                let acc = fault!(self.mem_read(bus, addr, load_size($op), pc_of!(idx), cycles));
+                set!($o.rd, extend_load($op, acc.data));
+                if $post {
+                    set!($o.rs1, base.wrapping_add($o.imm as u32));
+                }
+                acc.cycles
+            }};
+        }
+        // Only stores can invalidate predecoded code. The check runs
+        // before the continuation: a store can itself end a
+        // hardware-loop body, and wrapping back into a block it just
+        // invalidated would replay stale instructions. Leaving makes
+        // the caller predecode afresh at the next PC, exactly like
+        // the interpreter refetching.
+        macro_rules! store {
+            ($o:expr, $op:expr, $post:expr) => {{
+                let base = x!($o.rs1);
+                let addr = if $post {
+                    base
+                } else {
+                    base.wrapping_add($o.imm as u32)
+                };
+                let value = x!($o.rs2);
+                let c =
+                    fault!(self.mem_write(bus, addr, value, store_size($op), pc_of!(idx), cycles));
+                if $post {
+                    set!($o.rs1, base.wrapping_add($o.imm as u32));
+                }
+                if self.blocks.generation() != gen {
+                    cycles += c;
+                    executed += 1;
+                    sync!(fall_from!(pc_of!(idx)));
+                    return Ok(None);
+                }
+                c
+            }};
+        }
+        // Branches end their block: charge, then continue on this
+        // block only if the next PC is one of its instructions.
+        macro_rules! branch {
+            ($b:expr, $op:expr) => {{
+                let pc = pc_of!(idx);
+                let taken = branch_taken($op, x!($b.rs1), x!($b.rs2));
+                cycles += if taken {
+                    t.branch_taken
+                } else {
+                    t.branch_not_taken
+                };
+                executed += 1;
+                // A taken branch to the next instruction is a
+                // fall-through too, as far as hardware loops go.
+                if taken && $b.target != pc.wrapping_add(4) {
+                    goto!($b.target)
+                }
+                goto!(fall_from!(pc))
+            }};
+        }
+        macro_rules! pv {
+            ($o:expr, $op:expr, $w:expr) => {{
+                set!($o.rd, pv_exec($op, $w, x!($o.rd), x!($o.rs1), x!($o.rs2)));
+                t.simd
+            }};
+        }
+        macro_rules! dsp {
+            ($o:expr, $v:expr) => {{
+                set!($o.rd, $v);
+                t.simd
+            }};
+        }
+
+        while idx < ops.len() && executed < max_instrs {
+            use MicroOp as M;
+            use SimdWidth::{B as PB, H as PH};
+            let cost = match ops[idx] {
+                M::Addi(o) => imm!(o, AluImmOp::Addi),
+                M::Slti(o) => imm!(o, AluImmOp::Slti),
+                M::Sltiu(o) => imm!(o, AluImmOp::Sltiu),
+                M::Xori(o) => imm!(o, AluImmOp::Xori),
+                M::Ori(o) => imm!(o, AluImmOp::Ori),
+                M::Andi(o) => imm!(o, AluImmOp::Andi),
+                M::Slli(o) => imm!(o, AluImmOp::Slli),
+                M::Srli(o) => imm!(o, AluImmOp::Srli),
+                M::Srai(o) => imm!(o, AluImmOp::Srai),
+                M::Add(o) => rr!(o, AluOp::Add),
+                M::Sub(o) => rr!(o, AluOp::Sub),
+                M::Sll(o) => rr!(o, AluOp::Sll),
+                M::Slt(o) => rr!(o, AluOp::Slt),
+                M::Sltu(o) => rr!(o, AluOp::Sltu),
+                M::Xor(o) => rr!(o, AluOp::Xor),
+                M::Srl(o) => rr!(o, AluOp::Srl),
+                M::Sra(o) => rr!(o, AluOp::Sra),
+                M::Or(o) => rr!(o, AluOp::Or),
+                M::And(o) => rr!(o, AluOp::And),
+                M::Mul(o) => rr!(o, AluOp::Mul),
+                M::Mulh(o) => rr!(o, AluOp::Mulh),
+                M::Mulhsu(o) => rr!(o, AluOp::Mulhsu),
+                M::Mulhu(o) => rr!(o, AluOp::Mulhu),
+                M::Div(o) => rr!(o, AluOp::Div),
+                M::Divu(o) => rr!(o, AluOp::Divu),
+                M::Rem(o) => rr!(o, AluOp::Rem),
+                M::Remu(o) => rr!(o, AluOp::Remu),
+                M::Lb(o) => load!(o, LoadOp::Lb, false),
+                M::Lh(o) => load!(o, LoadOp::Lh, false),
+                M::Lw(o) => load!(o, LoadOp::Lw, false),
+                M::Lbu(o) => load!(o, LoadOp::Lbu, false),
+                M::Lhu(o) => load!(o, LoadOp::Lhu, false),
+                M::Sb(o) => store!(o, StoreOp::Sb, false),
+                M::Sh(o) => store!(o, StoreOp::Sh, false),
+                M::Sw(o) => store!(o, StoreOp::Sw, false),
+                M::CvLbPost(o) => load!(o, LoadOp::Lb, true),
+                M::CvLhPost(o) => load!(o, LoadOp::Lh, true),
+                M::CvLwPost(o) => load!(o, LoadOp::Lw, true),
+                M::CvLbuPost(o) => load!(o, LoadOp::Lbu, true),
+                M::CvLhuPost(o) => load!(o, LoadOp::Lhu, true),
+                M::CvSbPost(o) => store!(o, StoreOp::Sb, true),
+                M::CvShPost(o) => store!(o, StoreOp::Sh, true),
+                M::CvSwPost(o) => store!(o, StoreOp::Sw, true),
+                M::Beq(b) => branch!(b, BranchOp::Eq),
+                M::Bne(b) => branch!(b, BranchOp::Ne),
+                M::Blt(b) => branch!(b, BranchOp::Lt),
+                M::Bge(b) => branch!(b, BranchOp::Ge),
+                M::Bltu(b) => branch!(b, BranchOp::Ltu),
+                M::Bgeu(b) => branch!(b, BranchOp::Geu),
+                M::PvAddB(o) => pv!(o, PvOp::Add, PB),
+                M::PvSubB(o) => pv!(o, PvOp::Sub, PB),
+                M::PvMaxB(o) => pv!(o, PvOp::Max, PB),
+                M::PvMinB(o) => pv!(o, PvOp::Min, PB),
+                M::PvDotspB(o) => pv!(o, PvOp::Dotsp, PB),
+                M::PvSdotspB(o) => pv!(o, PvOp::Sdotsp, PB),
+                M::PvDotupB(o) => pv!(o, PvOp::Dotup, PB),
+                M::PvAddH(o) => pv!(o, PvOp::Add, PH),
+                M::PvSubH(o) => pv!(o, PvOp::Sub, PH),
+                M::PvMaxH(o) => pv!(o, PvOp::Max, PH),
+                M::PvMinH(o) => pv!(o, PvOp::Min, PH),
+                M::PvDotspH(o) => pv!(o, PvOp::Dotsp, PH),
+                M::PvSdotspH(o) => pv!(o, PvOp::Sdotsp, PH),
+                M::PvDotupH(o) => pv!(o, PvOp::Dotup, PH),
+                M::CvMac(o) => dsp!(o, cv_mac(x!(o.rd), x!(o.rs1), x!(o.rs2))),
+                M::CvMax(o) => dsp!(o, cv_max(x!(o.rs1), x!(o.rs2))),
+                M::CvMin(o) => dsp!(o, cv_min(x!(o.rs1), x!(o.rs2))),
+                M::CvAbs(o) => dsp!(o, cv_abs(x!(o.rs1))),
+                M::Delegate(instr) => {
+                    sync!(pc_of!(idx));
+                    let stop = self.exec_instr(bus, xif, instr)?;
+                    if stop.is_some() {
+                        return Ok(stop);
+                    }
+                    cycles = self.cycles;
+                    executed += 1;
+                    // The interpreter path has already applied any
+                    // hardware-loop wrap.
+                    goto!(self.pc)
+                }
+            };
+            cycles += cost;
+            executed += 1;
+            if self.loops_active {
+                let pc = pc_of!(idx);
+                let next = self.end_loop_body(pc);
+                if next != pc.wrapping_add(4) {
+                    goto!(next)
+                }
             }
             idx += 1;
         }
+        sync!(pc_of!(idx));
         Ok(None)
     }
 }
 
+// Instruction semantics shared by the reference interpreter and the
+// micro-op engine. Each is `#[inline(always)]`: the micro-op engine
+// calls them with a constant operation, which folds the inner match
+// away.
+
+#[inline(always)]
 fn load_size(op: LoadOp) -> AccessSize {
     match op.size() {
         1 => AccessSize::Byte,
@@ -737,6 +961,7 @@ fn load_size(op: LoadOp) -> AccessSize {
     }
 }
 
+#[inline(always)]
 fn store_size(op: StoreOp) -> AccessSize {
     match op.size() {
         1 => AccessSize::Byte,
@@ -745,6 +970,7 @@ fn store_size(op: StoreOp) -> AccessSize {
     }
 }
 
+#[inline(always)]
 fn extend_load(op: LoadOp, raw: u32) -> u32 {
     match op {
         LoadOp::Lb => raw as u8 as i8 as i32 as u32,
@@ -755,8 +981,36 @@ fn extend_load(op: LoadOp, raw: u32) -> u32 {
     }
 }
 
-fn alu_rr(op: AluOp, a: u32, b: u32, t: &Timing) -> (u32, u64) {
-    let v = match op {
+#[inline(always)]
+fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
+    match op {
+        BranchOp::Eq => a == b,
+        BranchOp::Ne => a != b,
+        BranchOp::Lt => (a as i32) < (b as i32),
+        BranchOp::Ge => (a as i32) >= (b as i32),
+        BranchOp::Ltu => a < b,
+        BranchOp::Geu => a >= b,
+    }
+}
+
+#[inline(always)]
+fn alu_imm(op: AluImmOp, a: u32, imm: i32) -> u32 {
+    match op {
+        AluImmOp::Addi => a.wrapping_add(imm as u32),
+        AluImmOp::Slti => ((a as i32) < imm) as u32,
+        AluImmOp::Sltiu => (a < imm as u32) as u32,
+        AluImmOp::Xori => a ^ imm as u32,
+        AluImmOp::Ori => a | imm as u32,
+        AluImmOp::Andi => a & imm as u32,
+        AluImmOp::Slli => a.wrapping_shl(imm as u32),
+        AluImmOp::Srli => a.wrapping_shr(imm as u32),
+        AluImmOp::Srai => ((a as i32).wrapping_shr(imm as u32)) as u32,
+    }
+}
+
+#[inline(always)]
+fn alu_rr(op: AluOp, a: u32, b: u32) -> u32 {
+    match op {
         AluOp::Add => a.wrapping_add(b),
         AluOp::Sub => a.wrapping_sub(b),
         AluOp::Sll => a.wrapping_shl(b & 0x1f),
@@ -797,14 +1051,37 @@ fn alu_rr(op: AluOp, a: u32, b: u32, t: &Timing) -> (u32, u64) {
                 a % b
             }
         }
-    };
-    let cost = match op {
+    }
+}
+
+#[inline(always)]
+fn alu_rr_cost(op: AluOp, t: &Timing) -> u64 {
+    match op {
         AluOp::Mul => t.mul,
         AluOp::Mulh | AluOp::Mulhsu | AluOp::Mulhu => t.mulh,
         AluOp::Div | AluOp::Divu | AluOp::Rem | AluOp::Remu => t.div,
         _ => t.alu,
-    };
-    (v, cost)
+    }
+}
+
+#[inline(always)]
+fn cv_mac(acc: u32, a: u32, b: u32) -> u32 {
+    acc.wrapping_add(a.wrapping_mul(b))
+}
+
+#[inline(always)]
+fn cv_max(a: u32, b: u32) -> u32 {
+    (a as i32).max(b as i32) as u32
+}
+
+#[inline(always)]
+fn cv_min(a: u32, b: u32) -> u32 {
+    (a as i32).min(b as i32) as u32
+}
+
+#[inline(always)]
+fn cv_abs(a: u32) -> u32 {
+    (a as i32).wrapping_abs() as u32
 }
 
 /// A flat single-SRAM bus for unit tests and small standalone programs.

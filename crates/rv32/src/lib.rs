@@ -18,13 +18,15 @@
 //! to a [`Coprocessor`] via the CV-X-IF-style [`Cpu::step`] hook,
 //! mirroring the paper's offloading mechanism (§III-B).
 //!
-//! Two execution engines share one instruction-semantics path:
+//! Two execution engines share the instruction-semantics helpers:
 //! [`Cpu::run`] dispatches to the predecoded block-stepping engine
 //! ([`Cpu::run_blocks`], the default) or the reference interpreter
-//! ([`Cpu::run_interp`], forced by `ARCANE_INTERP=1`). Results are bit-
-//! and cycle-identical; the block engine simply skips the per-dynamic-
-//! instruction fetch and decode by caching
-//! [`arcane_isa::exec::DecodedBlock`]s keyed by PC.
+//! ([`Cpu::run_interp`], forced by `ARCANE_INTERP=1`). The block engine
+//! skips the per-dynamic-instruction fetch and decode by caching
+//! [`arcane_isa::exec::DecodedBlock`]s of one-level
+//! [`arcane_isa::exec::MicroOp`]s keyed by PC, and dispatches once per
+//! retired instruction. Results must be bit- and cycle-identical; the
+//! differential tests check it against the interpreter.
 //!
 //! # Examples
 //!

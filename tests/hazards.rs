@@ -179,6 +179,40 @@ fn shape_mismatch_is_killed() {
 }
 
 #[test]
+fn operand_outside_external_memory_is_killed() {
+    // A source bound below external memory, then a destination running
+    // past its end: each launch must be rejected with a typed error
+    // before any line or memory is touched, not panic the host.
+    let sew = Sew::Word;
+    let ext_end = BASE + (16 << 20);
+    for (a_addr, r_addr, bad) in [
+        (0x1000, R_ADDR, 0x1000),
+        (A_ADDR, ext_end - 64, ext_end - 64),
+    ] {
+        let mut llc = ArcaneLlc::new(ArcaneConfig::with_lanes(4));
+        let (r1, r2, r3) = xmnmc::pack_xmr(a_addr, 1, m(0), 16, 48);
+        llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 0);
+        let (r1, r2, r3) = xmnmc::pack_xmr(F_ADDR, 1, m(1), 3, 9);
+        llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 2);
+        let (r1, r2, r3) = xmnmc::pack_xmr(r_addr, 1, m(2), 7, 7);
+        llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, 4);
+        let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(1), m(0));
+        let resp = llc.offload(x(kernel_id::CONV_LAYER_3CH, sew), r1, r2, r3, 6);
+        assert_eq!(resp, XifResponse::Reject);
+        assert!(
+            matches!(
+                llc.last_error(),
+                Some(KernelError::OperandOutOfRange { addr, .. }) if *addr == bad
+            ),
+            "{:?}",
+            llc.last_error()
+        );
+        assert!(llc.records().is_empty(), "no kernel ran");
+        assert_eq!(llc.stats().writebacks.get(), 0);
+    }
+}
+
+#[test]
 fn kernel_queue_backpressure_stalls_the_host() {
     let mut cfg = ArcaneConfig::with_lanes(2);
     cfg.kernel_queue_capacity = 2;
