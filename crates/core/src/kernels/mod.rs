@@ -19,6 +19,7 @@ pub use gemm::Gemm;
 pub use pool::MaxPool;
 pub use relu::LeakyRelu;
 
+use crate::cache::AtFull;
 use crate::runtime::ctx::KernelCtx;
 use crate::runtime::map::MatView;
 use arcane_isa::launch::LaunchDecodeError;
@@ -76,14 +77,19 @@ pub enum KernelError {
     },
     /// Operand widths disagree with the instruction width suffix.
     WidthMismatch,
-    /// An operand or destination matrix does not lie inside external
-    /// memory (checked when the launch is resolved, before any line or
-    /// memory is touched).
+    /// An operand or destination matrix, or an `xmb` descriptor batch,
+    /// does not lie inside external memory (checked before any line or
+    /// memory is touched and before anything is allocated).
     OperandOutOfRange {
-        /// Base address of the offending matrix.
+        /// Base address of the offending matrix or batch.
         addr: u32,
-        /// Bytes the matrix spans from `addr`.
+        /// Bytes the matrix or batch spans from `addr`.
         bytes: u64,
+    },
+    /// The Address Table has no free slot for the kernel's operands.
+    AddressTableFull {
+        /// Configured Address Table capacity.
+        capacity: usize,
     },
     /// An `xmb` launch-batch failed to decode (descriptor pipeline).
     Launch(LaunchDecodeError),
@@ -110,8 +116,11 @@ impl fmt::Display for KernelError {
             }
             KernelError::OperandOutOfRange { addr, bytes } => write!(
                 f,
-                "matrix of {bytes} bytes at {addr:#010x} lies outside external memory"
+                "{bytes} bytes at {addr:#010x} lie outside external memory"
             ),
+            KernelError::AddressTableFull { capacity } => {
+                write!(f, "address table full ({capacity} entries)")
+            }
             KernelError::Launch(e) => write!(f, "launch-batch decode failed: {e}"),
             KernelError::Vpu(e) => write!(f, "vector unit fault: {e}"),
         }
@@ -119,6 +128,14 @@ impl fmt::Display for KernelError {
 }
 
 impl Error for KernelError {}
+
+impl From<AtFull> for KernelError {
+    fn from(e: AtFull) -> Self {
+        KernelError::AddressTableFull {
+            capacity: e.capacity,
+        }
+    }
+}
 
 impl From<VpuError> for KernelError {
     fn from(e: VpuError) -> Self {

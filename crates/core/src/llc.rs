@@ -480,13 +480,16 @@ impl ArcaneLlc {
             0 => 0,
             rows => (rows as u64 - 1) * u64::from(m.pitch_bytes()) + u64::from(m.row_bytes()),
         };
+        self.check_range(m.addr, bytes)
+    }
+
+    /// `[addr, addr + bytes)` must lie in external memory (64-bit
+    /// arithmetic, no wrap-around).
+    fn check_range(&self, addr: u32, bytes: u64) -> Result<(), KernelError> {
         let base = u64::from(self.ext.base());
         let end = base + self.ext.len() as u64;
-        if u64::from(m.addr) < base || u64::from(m.addr) + bytes > end {
-            return Err(KernelError::OperandOutOfRange {
-                addr: m.addr,
-                bytes,
-            });
+        if u64::from(addr) < base || u64::from(addr) + bytes > end {
+            return Err(KernelError::OperandOutOfRange { addr, bytes });
         }
         Ok(())
     }
@@ -563,11 +566,7 @@ impl ArcaneLlc {
                 protect_until: last_alloc_end,
                 matrix: s.phys_id,
             };
-            if self.at.register(entry, now).is_err() {
-                return Err(KernelError::ShapeMismatch {
-                    what: "address table exhausted",
-                });
-            }
+            self.at.register(entry, now)?;
         }
         let dest_entry = AtEntry {
             start: args.md.addr,
@@ -576,11 +575,7 @@ impl ArcaneLlc {
             protect_until: end,
             matrix: args.md.phys_id,
         };
-        if self.at.register(dest_entry, now).is_err() {
-            return Err(KernelError::ShapeMismatch {
-                what: "address table exhausted",
-            });
-        }
+        self.at.register(dest_entry, now)?;
 
         self.vpu_free_at[vpu] = end;
         self.queue_done.push_back(end);
@@ -678,13 +673,15 @@ impl ArcaneLlc {
     fn handle_batch(&mut self, addr: u32, words: u32, _token: u32, now: u64) -> XifResponse {
         let crt = self.cfg.crt;
 
-        // Functional fetch of the encoded batch.
-        let mut bytes = vec![0u8; words as usize * 4];
-        if self.ext.read_bytes(addr, &mut bytes).is_err() {
-            return self.reject(KernelError::ShapeMismatch {
-                what: "descriptor batch lies outside external memory",
-            });
+        // Functional fetch of the encoded batch. The guest-supplied
+        // length is range-checked before anything is allocated.
+        if let Err(e) = self.check_range(addr, u64::from(words) * 4) {
+            return self.reject(e);
         }
+        let mut bytes = vec![0u8; words as usize * 4];
+        self.ext
+            .read_bytes(addr, &mut bytes)
+            .expect("range checked above");
         let stream: Vec<u32> = bytes
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))

@@ -34,9 +34,25 @@ impl ResourceChannel {
     /// window separately — only the representation is compacted, which
     /// keeps the back-to-back issue pattern of a long kernel (millions
     /// of eCPU slots) at a handful of windows instead of O(n²) scans.
+    ///
+    /// A request at or after the last window's end (the common case:
+    /// back-to-back issue) appends or extends that window in O(1),
+    /// which is exactly what the search below would grant.
     pub fn reserve(&mut self, earliest: u64, duration: u64) -> (u64, u64) {
         if duration == 0 {
             return (earliest, earliest);
+        }
+        let end = earliest + duration;
+        match self.windows.last_mut() {
+            Some(last) if last.1 > earliest => {}
+            Some(last) if last.1 == earliest => {
+                last.1 = end;
+                return (earliest, end);
+            }
+            _ => {
+                self.windows.push((earliest, end));
+                return (earliest, end);
+            }
         }
         let mut t = earliest;
         let mut i = self.windows.partition_point(|&(_, e)| e <= t);
@@ -91,6 +107,9 @@ impl ResourceChannel {
     /// hand out next). Returns `(gap_start, gap_len)`; `gap_len` is
     /// `u64::MAX` for the open-ended gap past the last window.
     fn next_gap(&self, earliest: u64) -> (u64, u64) {
+        if earliest >= self.horizon() {
+            return (earliest, u64::MAX);
+        }
         let mut t = earliest;
         let mut i = self.windows.partition_point(|&(_, e)| e <= t);
         while i < self.windows.len() {
@@ -137,9 +156,10 @@ impl ResourceChannel {
         (first.unwrap_or(earliest), t, bursts)
     }
 
-    /// Latest booked end time (0 when idle forever).
+    /// Latest booked end time (0 when idle forever): the last window's
+    /// end, since windows are sorted and disjoint.
     pub fn horizon(&self) -> u64 {
-        self.windows.iter().map(|&(_, e)| e).max().unwrap_or(0)
+        self.windows.last().map_or(0, |&(_, e)| e)
     }
 
     /// The booked busy windows, sorted by start time. Disjoint and

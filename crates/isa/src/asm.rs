@@ -53,6 +53,14 @@ pub enum AsmError {
         /// The required offset in bytes.
         offset: i64,
     },
+    /// An I- or S-type immediate lies outside the signed 12-bit range
+    /// `-2048..=2047`.
+    ImmediateOutOfRange {
+        /// Index of the offending instruction.
+        at: usize,
+        /// The immediate that does not fit.
+        imm: i32,
+    },
 }
 
 impl fmt::Display for AsmError {
@@ -65,11 +73,33 @@ impl fmt::Display for AsmError {
             AsmError::JumpOutOfRange { at, offset } => {
                 write!(f, "jump at instruction {at} needs offset {offset} bytes")
             }
+            AsmError::ImmediateOutOfRange { at, imm } => {
+                write!(f, "immediate {imm} at instruction {at} exceeds 12 bits")
+            }
         }
     }
 }
 
 impl Error for AsmError {}
+
+/// The signed 12-bit immediate of an I- or S-type instruction (shift
+/// amounts excluded), if `instr` has one.
+fn imm12(instr: &Instr) -> Option<i32> {
+    match *instr {
+        Instr::Jalr { offset, .. }
+        | Instr::Load { offset, .. }
+        | Instr::Store { offset, .. }
+        | Instr::Pulp(PulpInstr::LoadPost { offset, .. } | PulpInstr::StorePost { offset, .. }) => {
+            Some(offset)
+        }
+        Instr::OpImm { op, imm, .. }
+            if !matches!(op, AluImmOp::Slli | AluImmOp::Srli | AluImmOp::Srai) =>
+        {
+            Some(imm)
+        }
+        _ => None,
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 enum Item {
@@ -447,14 +477,19 @@ impl Asm {
     ///
     /// # Errors
     ///
-    /// Returns [`AsmError`] on unbound labels or out-of-range control
-    /// transfers.
+    /// Returns [`AsmError`] on unbound labels, out-of-range control
+    /// transfers or immediates that do not fit their 12-bit field.
     pub fn assemble(&self, base: u32) -> Result<Vec<u32>, AsmError> {
         let _ = base; // offsets are PC-relative; base kept for API clarity
         let mut words = Vec::with_capacity(self.items.len());
         for (i, item) in self.items.iter().enumerate() {
             let instr = match *item {
-                Item::Fixed(instr) => instr,
+                Item::Fixed(instr) => match imm12(&instr) {
+                    Some(imm) if !(-2048..=2047).contains(&imm) => {
+                        return Err(AsmError::ImmediateOutOfRange { at: i, imm });
+                    }
+                    _ => instr,
+                },
                 Item::Branch {
                     op,
                     rs1,
@@ -576,6 +611,36 @@ mod tests {
             a.assemble(0),
             Err(AsmError::BranchOutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn out_of_range_immediates_are_detected() {
+        let mut a = Asm::new();
+        a.nop().addi(A0, A0, 0x810);
+        assert_eq!(
+            a.assemble(0),
+            Err(AsmError::ImmediateOutOfRange { at: 1, imm: 0x810 })
+        );
+        let mut a = Asm::new();
+        a.sw(A1, A0, 2048);
+        assert_eq!(
+            a.assemble(0),
+            Err(AsmError::ImmediateOutOfRange { at: 0, imm: 2048 })
+        );
+        let mut a = Asm::new();
+        a.cv_lw_post(A1, A0, -2049);
+        assert!(matches!(
+            a.assemble(0),
+            Err(AsmError::ImmediateOutOfRange { imm: -2049, .. })
+        ));
+        // The extremes of the field still assemble, and shift amounts
+        // are not 12-bit immediates.
+        let mut a = Asm::new();
+        a.addi(A0, A0, 2047)
+            .lw(A1, A0, -2048)
+            .sb(A1, A0, 2047)
+            .slli(A0, A0, 31);
+        assert!(a.assemble(0).is_ok());
     }
 
     #[test]

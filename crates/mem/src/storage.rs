@@ -137,27 +137,38 @@ impl Memory for Sram {
     }
 }
 
+/// Bytes per [`ExtMem`] storage page.
+const PAGE_BYTES: usize = 1 << 12;
+
 /// Burst-modeled external memory (flash / pseudo-static RAM).
 ///
 /// Timing model: a random access costs [`ExtMem::first_word_cycles`],
 /// each subsequent sequential word in the same burst costs
 /// [`ExtMem::per_word_cycles`]. The cache controller and DMA use
 /// [`ExtMem::burst_cycles`] to price line refills and tile transfers.
+///
+/// Storage is page-sparse: the device is split into 4 KiB pages that
+/// are allocated on their first write, and a page never written reads
+/// as zero. A 16 MiB device therefore costs only the pages a run
+/// touches, while bounds, data and timing are those of a zero-filled
+/// array of `size` bytes.
 #[derive(Debug, Clone)]
 pub struct ExtMem {
     base: u32,
-    data: Vec<u8>,
+    size: usize,
+    pages: Vec<Option<Box<[u8]>>>,
     first_word_cycles: u64,
     per_word_cycles: u64,
 }
 
 impl ExtMem {
     /// Creates an external memory of `size` bytes at `base` with the
-    /// given burst timing.
+    /// given burst timing. Every byte reads as zero until written.
     pub fn new(base: u32, size: usize, first_word_cycles: u64, per_word_cycles: u64) -> Self {
         ExtMem {
             base,
-            data: vec![0; size],
+            size,
+            pages: vec![None; size.div_ceil(PAGE_BYTES)],
             first_word_cycles,
             per_word_cycles,
         }
@@ -183,25 +194,55 @@ impl ExtMem {
     }
 }
 
+/// Splits the device range `[off, off + len)` into per-page pieces:
+/// `(page index, offset in the page, buffer range)`.
+fn page_pieces(
+    off: usize,
+    len: usize,
+) -> impl Iterator<Item = (usize, usize, std::ops::Range<usize>)> {
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        if done == len {
+            return None;
+        }
+        let at = off + done;
+        let in_page = at % PAGE_BYTES;
+        let n = (PAGE_BYTES - in_page).min(len - done);
+        let piece = (at / PAGE_BYTES, in_page, done..done + n);
+        done += n;
+        Some(piece)
+    })
+}
+
 impl Memory for ExtMem {
     fn base(&self) -> u32 {
         self.base
     }
 
     fn len(&self) -> usize {
-        self.data.len()
+        self.size
     }
 
     #[inline]
     fn read_bytes(&self, addr: u32, buf: &mut [u8]) -> Result<(), BusError> {
-        let off = offset_of(self.base, self.data.len(), addr, buf.len())?;
-        buf.copy_from_slice(&self.data[off..off + buf.len()]);
+        let off = offset_of(self.base, self.size, addr, buf.len())?;
+        for (page, at, range) in page_pieces(off, buf.len()) {
+            let dst = &mut buf[range];
+            match &self.pages[page] {
+                Some(p) => dst.copy_from_slice(&p[at..at + dst.len()]),
+                None => dst.fill(0),
+            }
+        }
         Ok(())
     }
 
     fn write_bytes(&mut self, addr: u32, buf: &[u8]) -> Result<(), BusError> {
-        let off = offset_of(self.base, self.data.len(), addr, buf.len())?;
-        self.data[off..off + buf.len()].copy_from_slice(buf);
+        let off = offset_of(self.base, self.size, addr, buf.len())?;
+        for (page, at, range) in page_pieces(off, buf.len()) {
+            let src = &buf[range];
+            let p = self.pages[page].get_or_insert_with(|| vec![0; PAGE_BYTES].into());
+            p[at..at + src.len()].copy_from_slice(src);
+        }
         Ok(())
     }
 }
@@ -247,5 +288,27 @@ mod tests {
         m.read_bytes(0x2000_0010, &mut b).unwrap();
         assert_eq!(b, [9, 8, 7]);
         assert!(m.read_bytes(0x1fff_ffff, &mut b).is_err());
+    }
+
+    #[test]
+    fn extmem_pages_are_sparse_and_straddle() {
+        let size = 3 * PAGE_BYTES + 100;
+        let mut m = ExtMem::new(0x100, size, 10, 1);
+        assert_eq!(m.len(), size);
+        assert!(m.pages.iter().all(Option::is_none), "nothing allocated");
+        // A write straddling pages 0 and 1 allocates exactly those two.
+        let at = 0x100 + PAGE_BYTES as u32 - 2;
+        m.write_bytes(at, &[1, 2, 3, 4]).unwrap();
+        assert_eq!(m.pages.iter().filter(|p| p.is_some()).count(), 2);
+        let mut b = [0xffu8; 8];
+        m.read_bytes(at - 2, &mut b).unwrap();
+        assert_eq!(b, [0, 0, 1, 2, 3, 4, 0, 0]);
+        // Untouched pages, including the partial last one, read as zero.
+        let mut tail = [0xffu8; 100];
+        m.read_bytes(0x100 + 3 * PAGE_BYTES as u32, &mut tail)
+            .unwrap();
+        assert_eq!(tail, [0; 100]);
+        assert!(m.write_bytes(0x100 + size as u32 - 1, &[0, 0]).is_err());
+        assert_eq!(m.pages.iter().filter(|p| p.is_some()).count(), 2);
     }
 }

@@ -10,7 +10,10 @@
 //!   on);
 //! * the burst arbiters are work-conserving (exactly `duration` busy
 //!   cycles per transaction) and `priority-host` never splits a host
-//!   transaction.
+//!   transaction;
+//! * every [`ResourceChannel`] primitive grants exactly what a naive,
+//!   uncoalesced calendar grants for requests before, at and after the
+//!   horizon.
 
 use arcane::fabric::{ArbiterKind, Fabric, FabricConfig, ResourceChannel, HOST_PORT};
 use proptest::prelude::*;
@@ -199,5 +202,153 @@ proptest! {
             packed_end <= whole_end,
             "packed {packed_end} vs whole {whole_end}"
         );
+    }
+}
+
+/// The calendar written from its specification: every booked window
+/// kept as booked, unsorted and uncoalesced, and each search a scan of
+/// all of them.
+#[derive(Default)]
+struct NaiveCalendar(Vec<(u64, u64)>);
+
+impl NaiveCalendar {
+    fn busy_at(&self, t: u64) -> bool {
+        self.0.iter().any(|&(s, e)| s <= t && t < e)
+    }
+
+    /// The earliest idle cycle at or after `t`: `t` itself or the end of
+    /// some window.
+    fn next_idle(&self, t: u64) -> u64 {
+        std::iter::once(t)
+            .chain(self.0.iter().map(|&(_, e)| e).filter(|&e| e >= t))
+            .filter(|&c| !self.busy_at(c))
+            .min()
+            .expect("the latest end is idle")
+    }
+
+    /// Length of the idle gap starting at idle cycle `t`.
+    fn gap_len(&self, t: u64) -> u64 {
+        self.0
+            .iter()
+            .filter(|&&(s, _)| s > t)
+            .map(|&(s, _)| s - t)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Earliest `t >= earliest` with `[t, t + dur)` idle.
+    fn reserve(&mut self, earliest: u64, dur: u64) -> (u64, u64) {
+        if dur == 0 {
+            return (earliest, earliest);
+        }
+        let mut t = self.next_idle(earliest);
+        while self.gap_len(t) < dur {
+            t = self.next_idle(t + 1);
+        }
+        self.0.push((t, t + dur));
+        (t, t + dur)
+    }
+
+    fn reserve_fragmented(&mut self, earliest: u64, total: u64, chunk: u64) -> (u64, u64) {
+        let (mut t, mut first) = (earliest, None);
+        for k in 0..total.div_ceil(chunk) {
+            let (s, e) = self.reserve(t, chunk.min(total - k * chunk));
+            first.get_or_insert(s);
+            t = e;
+        }
+        (first.unwrap_or(earliest), t)
+    }
+
+    fn reserve_packed(&mut self, earliest: u64, total: u64, burst: u64) -> (u64, u64, u64) {
+        let (mut t, mut left, mut first, mut bursts) = (earliest, total, None, 0);
+        while left > 0 {
+            let g = self.next_idle(t);
+            let d = left.min(burst).min(self.gap_len(g));
+            self.0.push((g, g + d));
+            first.get_or_insert(g);
+            bursts += 1;
+            left -= d;
+            t = g + d;
+        }
+        (first.unwrap_or(earliest), t, bursts)
+    }
+
+    fn horizon(&self) -> u64 {
+        self.0.iter().map(|&(_, e)| e).max().unwrap_or(0)
+    }
+
+    fn busy_cycles(&self) -> u64 {
+        self.0.iter().map(|&(s, e)| e - s).sum()
+    }
+
+    /// The booked set as sorted windows with touching ones merged.
+    fn coalesced(&self) -> Vec<(u64, u64)> {
+        let mut sorted = self.0.clone();
+        sorted.sort_unstable();
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for (s, e) in sorted {
+            match out.last_mut() {
+                Some(last) if last.1 >= s => last.1 = last.1.max(e),
+                _ => out.push((s, e)),
+            }
+        }
+        out
+    }
+}
+
+/// Where a reference-checked request starts relative to the horizon.
+#[derive(Debug, Clone, Copy)]
+enum When {
+    Absolute(u64),
+    Before(u64),
+    AtHorizon,
+    After(u64),
+}
+
+fn when() -> impl Strategy<Value = When> {
+    prop_oneof![
+        (0u64..1500).prop_map(When::Absolute),
+        (1u64..200).prop_map(When::Before),
+        Just(When::AtHorizon),
+        (1u64..40).prop_map(When::After),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn channel_matches_the_naive_calendar(
+        reqs in prop::collection::vec((0u8..3, when(), 0u64..120, 1u64..40), 1..70),
+    ) {
+        let mut chan = ResourceChannel::new();
+        let mut naive = NaiveCalendar::default();
+        for (step, &(kind, when, amount, unit)) in reqs.iter().enumerate() {
+            let h = naive.horizon();
+            let earliest = match when {
+                When::Absolute(t) => t,
+                When::Before(d) => h.saturating_sub(d),
+                When::AtHorizon => h,
+                When::After(d) => h + d,
+            };
+            match kind {
+                0 => prop_assert_eq!(
+                    chan.reserve(earliest, amount),
+                    naive.reserve(earliest, amount),
+                    "reserve {} at {}", step, earliest
+                ),
+                1 => prop_assert_eq!(
+                    chan.reserve_fragmented(earliest, amount, unit),
+                    naive.reserve_fragmented(earliest, amount, unit),
+                    "reserve_fragmented {} at {}", step, earliest
+                ),
+                _ => prop_assert_eq!(
+                    chan.reserve_packed(earliest, amount, unit),
+                    naive.reserve_packed(earliest, amount, unit),
+                    "reserve_packed {} at {}", step, earliest
+                ),
+            }
+            prop_assert_eq!(chan.horizon(), naive.horizon(), "horizon after {}", step);
+            prop_assert_eq!(chan.busy_cycles(), naive.busy_cycles(), "busy after {}", step);
+            prop_assert_eq!(chan.windows(), &naive.coalesced()[..], "windows after {}", step);
+        }
     }
 }

@@ -4,6 +4,7 @@
 
 use arcane::core::kernels::KernelError;
 use arcane::core::{ArcaneConfig, ArcaneLlc};
+use arcane::isa::launch::{pack_xmb, LaunchMode, FUNC5_XMB};
 use arcane::isa::reg::{A0, A1, A2};
 use arcane::isa::xmnmc::{self, kernel_id, MatReg, XInstr, FUNC5_XMR};
 use arcane::mem::{AccessSize, Memory};
@@ -32,6 +33,13 @@ fn m(i: u8) -> MatReg {
 /// Seeds an all-ones 3x(16x16) input and 3x(3x3) filter and launches
 /// one conv-layer kernel at time `t0`. Pooled output value is 27.
 fn launch_conv(llc: &mut ArcaneLlc, t0: u64) -> u64 {
+    offload_conv(llc, t0);
+    llc.records()[0].end
+}
+
+/// [`launch_conv`] without the acceptance assumption: returns the
+/// kernel offload's response.
+fn offload_conv(llc: &mut ArcaneLlc, t0: u64) -> XifResponse {
     for i in 0..(3 * 16 * 16) {
         llc.ext_mut().write_u32(A_ADDR + i * 4, 1).unwrap();
     }
@@ -49,8 +57,7 @@ fn launch_conv(llc: &mut ArcaneLlc, t0: u64) -> u64 {
     let (r1, r2, r3) = xmnmc::pack_xmr(R_ADDR, 1, m(2), 7, 7);
     llc.offload(x(FUNC5_XMR, sew), r1, r2, r3, t0 + 4);
     let (r1, r2, r3) = xmnmc::pack_kernel(0, 0, m(2), m(0), m(1), m(0));
-    llc.offload(x(kernel_id::CONV_LAYER_3CH, sew), r1, r2, r3, t0 + 6);
-    llc.records()[0].end
+    llc.offload(x(kernel_id::CONV_LAYER_3CH, sew), r1, r2, r3, t0 + 6)
 }
 
 #[test]
@@ -210,6 +217,55 @@ fn operand_outside_external_memory_is_killed() {
         assert!(llc.records().is_empty(), "no kernel ran");
         assert_eq!(llc.stats().writebacks.get(), 0);
     }
+}
+
+#[test]
+fn oversized_or_outside_batch_is_killed() {
+    // `xmb` names its batch by address and a guest-supplied word count.
+    // Neither a 16 GiB length nor a batch running past the end of
+    // external memory may allocate or read: both are typed rejects.
+    let ext_end = BASE + (16 << 20);
+    for (addr, words) in [(A_ADDR, u32::MAX), (ext_end - 8, 4), (0x1000, 1)] {
+        let mut cfg = ArcaneConfig::with_lanes(4);
+        cfg.launch = LaunchMode::Descriptor;
+        let mut llc = ArcaneLlc::new(cfg);
+        let (r1, r2, r3) = pack_xmb(addr, words, 0);
+        let resp = llc.offload(x(FUNC5_XMB, Sew::Word), r1, r2, r3, 0);
+        assert_eq!(resp, XifResponse::Reject);
+        assert_eq!(
+            llc.last_error(),
+            Some(&KernelError::OperandOutOfRange {
+                addr,
+                bytes: u64::from(words) * 4,
+            })
+        );
+        assert!(llc.records().is_empty(), "no kernel ran");
+        assert_eq!(llc.launch_stats().batches, 0, "nothing fetched");
+    }
+}
+
+#[test]
+fn full_address_table_is_killed() {
+    // A conv layer registers two sources and one destination: a
+    // one-entry table overflows on the second source, a two-entry table
+    // on the destination.
+    for capacity in [1, 2] {
+        let mut cfg = ArcaneConfig::with_lanes(4);
+        cfg.at_capacity = capacity;
+        let mut llc = ArcaneLlc::new(cfg);
+        assert_eq!(offload_conv(&mut llc, 0), XifResponse::Reject);
+        assert_eq!(
+            llc.last_error(),
+            Some(&KernelError::AddressTableFull { capacity })
+        );
+    }
+    let mut cfg = ArcaneConfig::with_lanes(4);
+    cfg.at_capacity = 3;
+    let mut llc = ArcaneLlc::new(cfg);
+    assert!(matches!(
+        offload_conv(&mut llc, 0),
+        XifResponse::Accept { .. }
+    ));
 }
 
 #[test]
